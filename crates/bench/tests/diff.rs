@@ -86,3 +86,28 @@ fn diff_binary_reports_and_gates() {
         .expect("run experiments --diff");
     assert!(!missing.status.success(), "unreadable artifact must fail");
 }
+
+#[test]
+fn diff_binary_rejects_deeply_nested_and_truncated_artifacts() {
+    let dir = std::env::temp_dir().join(format!("noisy-radio-diff-deep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let deep = dir.join("deep.json");
+    let truncated = dir.join("truncated.json");
+    std::fs::write(&deep, "[".repeat(200_000)).expect("write deep");
+    std::fs::write(&truncated, "{\"schema\": [1, 2").expect("write truncated");
+
+    let bin = env!("CARGO_BIN_EXE_experiments");
+    for (path, message) in [
+        (&deep, "nesting deeper than 512 levels at byte 512"),
+        (&truncated, "unexpected end of input at byte 16"),
+    ] {
+        let out = std::process::Command::new(bin)
+            .args(["--diff", path.to_str().unwrap(), path.to_str().unwrap()])
+            .output()
+            .expect("run experiments --diff");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        // A clean error exit, not an abort by signal.
+        assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+        assert!(stderr.contains(message), "stderr: {stderr}");
+    }
+}

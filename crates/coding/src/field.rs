@@ -10,7 +10,9 @@ use rand::Rng;
 /// Implemented by [`Gf256`](crate::Gf256) (GF(2⁸)) and
 /// [`Gf65536`](crate::Gf65536) (GF(2¹⁶)). The trait is deliberately
 /// minimal: the codes only need arithmetic, inversion, a way to
-/// enumerate distinct evaluation points, and uniform sampling.
+/// enumerate distinct evaluation points, and uniform sampling. Both
+/// implementations have characteristic 2, so [`Field::sub`] equals
+/// [`Field::add`] and [`Field::mul_acc`] also subtracts a scaled row.
 pub trait Field: Copy + Eq + Hash + Debug + Send + Sync + 'static {
     /// The additive identity.
     const ZERO: Self;
@@ -60,6 +62,32 @@ pub trait Field: Copy + Eq + Hash + Debug + Send + Sync + 'static {
     /// Whether this is the zero element.
     fn is_zero(self) -> bool {
         self == Self::ZERO
+    }
+
+    /// The row kernel `dst[i] += c · src[i]`, the one add-scaled-row
+    /// operation of every elimination and combination in this crate.
+    ///
+    /// The default is an element-at-a-time loop;
+    /// [`Gf256`](crate::Gf256) overrides it with a product-table row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst.len() != src.len()`.
+    fn mul_acc(dst: &mut [Self], src: &[Self], c: Self) {
+        assert_eq!(dst.len(), src.len(), "mul_acc length mismatch");
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d = d.add(c.mul(s));
+        }
+    }
+
+    /// The row kernel `dst[i] = c · dst[i]`.
+    ///
+    /// The default is an element-at-a-time loop;
+    /// [`Gf256`](crate::Gf256) overrides it with a product-table row.
+    fn scale_slice(dst: &mut [Self], c: Self) {
+        for d in dst {
+            *d = d.mul(c);
+        }
     }
 
     /// Exponentiation by squaring.

@@ -1,7 +1,13 @@
-//! GF(256) arithmetic via log/antilog tables.
+//! GF(256) arithmetic via compile-time tables.
+//!
+//! The `exp`/`log` tables and the full 64 KiB product table
+//! `MUL[a][b] = a·b` are `static`s built by `const fn` at compile time,
+//! so nothing is initialised at run time and [`Field::mul`] is one
+//! table load. The slice kernels [`Field::mul_acc`] and
+//! [`Field::scale_slice`] look up the row `MUL[c]` once and then do one
+//! branch-free load per byte.
 
 use std::fmt;
-use std::sync::OnceLock;
 
 use rand::Rng;
 
@@ -12,33 +18,52 @@ const POLY: u16 = 0x11D;
 /// Generator element 0x02 is primitive for 0x11D.
 const GENERATOR: u8 = 0x02;
 
-struct Tables {
+struct LogExp {
     exp: [u8; 512], // doubled to skip a mod in mul
     log: [u8; 256],
 }
 
-fn tables() -> &'static Tables {
-    static TABLES: OnceLock<Tables> = OnceLock::new();
-    TABLES.get_or_init(|| {
-        let mut exp = [0u8; 512];
-        let mut log = [0u8; 256];
-        let mut x: u16 = 1;
-        for i in 0..255 {
-            exp[i] = x as u8;
-            log[x as usize] = i as u8;
-            x <<= 1;
-            if x & 0x100 != 0 {
-                x ^= POLY;
-            }
+const fn build_log_exp() -> LogExp {
+    let mut exp = [0u8; 512];
+    let mut log = [0u8; 256];
+    let mut x: u16 = 1;
+    let mut i = 0;
+    while i < 255 {
+        exp[i] = x as u8;
+        log[x as usize] = i as u8;
+        x <<= 1;
+        if x & 0x100 != 0 {
+            x ^= POLY;
         }
-        for i in 255..512 {
-            exp[i] = exp[i - 255];
-        }
-        debug_assert_eq!(exp[0], 1);
-        debug_assert_eq!(exp[1], GENERATOR);
-        Tables { exp, log }
-    })
+        i += 1;
+    }
+    while i < 512 {
+        exp[i] = exp[i - 255];
+        i += 1;
+    }
+    assert!(exp[0] == 1 && exp[1] == GENERATOR);
+    LogExp { exp, log }
 }
+
+const fn build_mul() -> [[u8; 256]; 256] {
+    let t = build_log_exp();
+    let mut mul = [[0u8; 256]; 256];
+    let mut a = 1;
+    while a < 256 {
+        let mut b = 1;
+        while b < 256 {
+            mul[a][b] = t.exp[t.log[a] as usize + t.log[b] as usize];
+            b += 1;
+        }
+        a += 1;
+    }
+    mul
+}
+
+/// The `exp`/`log` tables, used by [`Field::inv`].
+static LOG_EXP: LogExp = build_log_exp();
+/// `MUL[a][b]` is the product `a·b`; row and column 0 are zero.
+static MUL: [[u8; 256]; 256] = build_mul();
 
 /// An element of GF(2⁸) with the primitive polynomial
 /// x⁸ + x⁴ + x³ + x² + 1.
@@ -97,19 +122,13 @@ impl Field for Gf256 {
 
     #[inline]
     fn mul(self, rhs: Self) -> Self {
-        if self.0 == 0 || rhs.0 == 0 {
-            return Gf256(0);
-        }
-        let t = tables();
-        let l = t.log[self.0 as usize] as usize + t.log[rhs.0 as usize] as usize;
-        Gf256(t.exp[l])
+        Gf256(MUL[self.0 as usize][rhs.0 as usize])
     }
 
     #[inline]
     fn inv(self) -> Self {
         assert!(self.0 != 0, "inverse of zero in GF(256)");
-        let t = tables();
-        Gf256(t.exp[255 - t.log[self.0 as usize] as usize])
+        Gf256(LOG_EXP.exp[255 - LOG_EXP.log[self.0 as usize] as usize])
     }
 
     fn from_index(i: usize) -> Self {
@@ -123,6 +142,23 @@ impl Field for Gf256 {
 
     fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
         Gf256(rng.gen())
+    }
+
+    #[inline]
+    fn mul_acc(dst: &mut [Self], src: &[Self], c: Self) {
+        assert_eq!(dst.len(), src.len(), "mul_acc length mismatch");
+        let row = &MUL[c.0 as usize];
+        for (d, s) in dst.iter_mut().zip(src) {
+            d.0 ^= row[s.0 as usize];
+        }
+    }
+
+    #[inline]
+    fn scale_slice(dst: &mut [Self], c: Self) {
+        let row = &MUL[c.0 as usize];
+        for d in dst {
+            d.0 = row[d.0 as usize];
+        }
     }
 }
 
@@ -170,13 +206,12 @@ mod tests {
 
     #[test]
     fn table_mul_matches_bitwise_reference() {
-        for a in (0..=255u8).step_by(3) {
-            for b in (0..=255u8).step_by(5) {
-                assert_eq!(
-                    Gf256::new(a).mul(Gf256::new(b)).raw(),
-                    slow_mul(a, b),
-                    "mismatch at {a:#x} * {b:#x}"
-                );
+        // All 65,536 entries of the product table.
+        for a in 0..=255u8 {
+            for b in 0..=255u8 {
+                let want = slow_mul(a, b);
+                assert_eq!(MUL[a as usize][b as usize], want, "MUL[{a:#x}][{b:#x}]");
+                assert_eq!(Gf256::new(a).mul(Gf256::new(b)).raw(), want);
             }
         }
     }

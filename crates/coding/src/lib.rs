@@ -16,9 +16,17 @@
 //!
 //! Both are generic over a [`Field`]; [`Gf256`] (GF(2⁸)) covers
 //! instances with < 256 packets in flight and [`Gf65536`] (GF(2¹⁶))
-//! covers every experiment in this workspace. The field implementations
-//! use log/exp tables over the standard primitive polynomials
-//! (`x⁸+x⁴+x³+x²+1` and `x¹⁶+x¹²+x³+x+1`).
+//! covers every experiment in this workspace. The fields use the
+//! standard primitive polynomials `x⁸+x⁴+x³+x²+1` and
+//! `x¹⁶+x¹²+x³+x+1`. [`Gf256`] multiplies through a 64 KiB product
+//! table built at compile time; [`Gf65536`] through log/exp tables
+//! built on first use.
+//!
+//! Row operations — add a scaled row, scale a row — in RLNC, matrix
+//! elimination and systematic encoding go through the two slice
+//! kernels [`Field::mul_acc`] and [`Field::scale_slice`]. Their defaults work element at a time;
+//! [`Gf256`] overrides both with one product-table row per call and one
+//! branch-free load per byte.
 //!
 //! # Example: Reed–Solomon round trip
 //!

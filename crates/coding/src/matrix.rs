@@ -119,11 +119,9 @@ impl<F: Field> Matrix<F> {
         for i in 0..self.rows {
             for l in 0..self.cols {
                 let a = self[(i, l)];
-                if a.is_zero() {
-                    continue;
-                }
-                for j in 0..rhs.cols {
-                    out[(i, j)] = out[(i, j)].add(a.mul(rhs[(l, j)]));
+                if !a.is_zero() {
+                    let src = &rhs.data[l * rhs.cols..(l + 1) * rhs.cols];
+                    F::mul_acc(out.row_mut(i), src, a);
                 }
             }
         }
@@ -138,26 +136,8 @@ impl<F: Field> Matrix<F> {
 
     /// In-place reduction to row echelon form; returns the rank.
     pub fn row_echelon(&mut self) -> usize {
-        let mut pivot_row = 0;
-        for col in 0..self.cols {
-            if pivot_row == self.rows {
-                break;
-            }
-            let Some(src) = (pivot_row..self.rows).find(|&r| !self[(r, col)].is_zero()) else {
-                continue;
-            };
-            self.swap_rows(pivot_row, src);
-            let inv = self[(pivot_row, col)].inv();
-            self.scale_row(pivot_row, inv);
-            for r in 0..self.rows {
-                if r != pivot_row && !self[(r, col)].is_zero() {
-                    let factor = self[(r, col)];
-                    self.sub_scaled_row(r, pivot_row, factor);
-                }
-            }
-            pivot_row += 1;
-        }
-        pivot_row
+        let n = self.cols;
+        aug_row_echelon_first_n(self, n)
     }
 
     /// Solves `self * x = b` for square, invertible `self`.
@@ -202,17 +182,26 @@ impl<F: Field> Matrix<F> {
         }
     }
 
-    fn scale_row(&mut self, r: usize, by: F) {
-        for j in 0..self.cols {
-            self[(r, j)] = self[(r, j)].mul(by);
-        }
+    fn row_mut(&mut self, r: usize) -> &mut [F] {
+        &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    fn scale_row(&mut self, r: usize, by: F) {
+        F::scale_slice(self.row_mut(r), by);
+    }
+
+    /// `row[dst] -= by · row[src]` (an addition in characteristic 2).
     fn sub_scaled_row(&mut self, dst: usize, src: usize, by: F) {
-        for j in 0..self.cols {
-            let v = self[(src, j)].mul(by);
-            self[(dst, j)] = self[(dst, j)].sub(v);
-        }
+        debug_assert_ne!(dst, src);
+        let cols = self.cols;
+        let (d, s) = if dst < src {
+            let (lo, hi) = self.data.split_at_mut(src * cols);
+            (&mut lo[dst * cols..(dst + 1) * cols], &hi[..cols])
+        } else {
+            let (lo, hi) = self.data.split_at_mut(dst * cols);
+            (&mut hi[..cols], &lo[src * cols..(src + 1) * cols])
+        };
+        F::mul_acc(d, s, by);
     }
 }
 

@@ -8,8 +8,11 @@
 //! STOC 2011: projection analysis of network coding gossip).
 //!
 //! [`RlncNode`] keeps a node's received combinations in reduced row
-//! echelon form, so rank queries and fresh-innovation checks are
-//! `O(k)` per packet and decoding is a back-substitution-free read.
+//! echelon form, so rank queries are `O(1)`, a fresh-innovation check
+//! touches only the `k` coefficients of each basis row (the payload is
+//! reduced only for innovative packets), and decoding is a
+//! back-substitution-free read. All row arithmetic goes through the
+//! [`Field::mul_acc`] and [`Field::scale_slice`] kernels.
 
 use rand::Rng;
 
@@ -65,6 +68,9 @@ pub struct RlncNode<F> {
     /// Basis rows in RREF; `pivots[r]` is the pivot column of row `r`.
     rows: Vec<CodedPacket<F>>,
     pivots: Vec<usize>,
+    /// Scratch for [`RlncNode::absorb`]: the multiplier of each basis
+    /// row while reducing a packet's coefficients, reused across calls.
+    multipliers: Vec<F>,
 }
 
 impl<F: Field> RlncNode<F> {
@@ -76,6 +82,7 @@ impl<F: Field> RlncNode<F> {
             payload_len,
             rows: Vec::new(),
             pivots: Vec::new(),
+            multipliers: Vec::with_capacity(k),
         }
     }
 
@@ -115,6 +122,11 @@ impl<F: Field> RlncNode<F> {
     /// Absorbs a received packet; returns `true` iff it was
     /// *innovative* (increased the rank).
     ///
+    /// The coefficients are reduced first, recording each basis row's
+    /// multiplier; the payload is reduced (by replaying those
+    /// multipliers) only when the packet turns out to be innovative.
+    /// A decoder at full rank rejects every packet without arithmetic.
+    ///
     /// # Panics
     ///
     /// Panics if the packet dimensions disagree with this decoder.
@@ -125,25 +137,38 @@ impl<F: Field> RlncNode<F> {
             self.payload_len,
             "payload length mismatch"
         );
-        // Reduce against existing basis rows.
+        if self.rank() == self.k {
+            return false;
+        }
+        // Reduce the coefficients against the basis rows. In
+        // characteristic 2, subtracting `c · row` is adding it.
+        self.multipliers.clear();
         for (row, &p) in self.rows.iter().zip(&self.pivots) {
             let c = packet.coeffs[p];
             if !c.is_zero() {
-                axpy(&mut packet, row, c);
+                F::mul_acc(&mut packet.coeffs, &row.coeffs, c);
             }
+            self.multipliers.push(c);
         }
         let Some(pivot) = packet.coeffs.iter().position(|c| !c.is_zero()) else {
             return false; // not innovative
         };
+        for (row, &c) in self.rows.iter().zip(&self.multipliers) {
+            if !c.is_zero() {
+                F::mul_acc(&mut packet.payload, &row.payload, c);
+            }
+        }
         // Normalize the new row.
         let inv = packet.coeffs[pivot].inv();
-        scale(&mut packet, inv);
+        F::scale_slice(&mut packet.coeffs, inv);
+        F::scale_slice(&mut packet.payload, inv);
         // Back-substitute into existing rows to keep RREF.
         for (row, &p) in self.rows.iter_mut().zip(&self.pivots) {
             debug_assert_ne!(p, pivot);
             let c = row.coeffs[pivot];
             if !c.is_zero() {
-                axpy_from(row, &packet, c);
+                F::mul_acc(&mut row.coeffs, &packet.coeffs, c);
+                F::mul_acc(&mut row.payload, &packet.payload, c);
             }
         }
         // Insert keeping pivot order.
@@ -175,12 +200,8 @@ impl<F: Field> RlncNode<F> {
                     continue;
                 }
                 any = true;
-                for (o, &v) in out.coeffs.iter_mut().zip(&row.coeffs) {
-                    *o = o.add(c.mul(v));
-                }
-                for (o, &v) in out.payload.iter_mut().zip(&row.payload) {
-                    *o = o.add(c.mul(v));
-                }
+                F::mul_acc(&mut out.coeffs, &row.coeffs, c);
+                F::mul_acc(&mut out.payload, &row.payload, c);
             }
             if any && !out.is_zero() {
                 return Some(out);
@@ -214,35 +235,6 @@ impl<F: Field> RlncNode<F> {
             out[p] = row.payload.clone();
         }
         Ok(out)
-    }
-}
-
-/// `packet -= c * row` over coefficients and payload.
-fn axpy<F: Field>(packet: &mut CodedPacket<F>, row: &CodedPacket<F>, c: F) {
-    for (o, &v) in packet.coeffs.iter_mut().zip(&row.coeffs) {
-        *o = o.sub(c.mul(v));
-    }
-    for (o, &v) in packet.payload.iter_mut().zip(&row.payload) {
-        *o = o.sub(c.mul(v));
-    }
-}
-
-/// `row -= c * packet` (same operation, different borrow order).
-fn axpy_from<F: Field>(row: &mut CodedPacket<F>, packet: &CodedPacket<F>, c: F) {
-    for (o, &v) in row.coeffs.iter_mut().zip(&packet.coeffs) {
-        *o = o.sub(c.mul(v));
-    }
-    for (o, &v) in row.payload.iter_mut().zip(&packet.payload) {
-        *o = o.sub(c.mul(v));
-    }
-}
-
-fn scale<F: Field>(packet: &mut CodedPacket<F>, by: F) {
-    for c in &mut packet.coeffs {
-        *c = c.mul(by);
-    }
-    for p in &mut packet.payload {
-        *p = p.mul(by);
     }
 }
 

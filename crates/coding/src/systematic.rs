@@ -128,9 +128,7 @@ impl<F: Field> SystematicRs<F> {
                 let xm = Self::point(m);
                 basis = basis.mul(x.sub(xm)).div(xi.sub(xm));
             }
-            for (o, &v) in out.iter_mut().zip(msg) {
-                *o = o.add(basis.mul(v));
-            }
+            F::mul_acc(&mut out, msg, basis);
         }
         Ok(out)
     }

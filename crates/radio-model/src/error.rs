@@ -20,6 +20,14 @@ pub enum ModelError {
         /// Nodes in the graph.
         expected: usize,
     },
+    /// An adversary was asked to corrupt more nodes than the pool of
+    /// corruptible (non-spared) nodes holds.
+    TooManyFaulty {
+        /// Nodes requested to be corrupted.
+        faulty: usize,
+        /// Corruptible nodes available.
+        pool: usize,
+    },
     /// A controller returned an action vector of the wrong length.
     ActionCountMismatch {
         /// Actions supplied.
@@ -52,6 +60,12 @@ impl fmt::Display for ModelError {
                 write!(
                     f,
                     "supplied {supplied} per-node values for a graph of {expected} nodes"
+                )
+            }
+            ModelError::TooManyFaulty { faulty, pool } => {
+                write!(
+                    f,
+                    "cannot corrupt f = {faulty} nodes: only {pool} nodes are corruptible"
                 )
             }
             ModelError::ActionCountMismatch { supplied, expected } => {
@@ -96,6 +110,10 @@ mod tests {
             }
             .to_string(),
             "supplied 2 per-node values for a graph of 3 nodes"
+        );
+        assert_eq!(
+            ModelError::TooManyFaulty { faulty: 4, pool: 3 }.to_string(),
+            "cannot corrupt f = 4 nodes: only 3 nodes are corruptible"
         );
         assert_eq!(
             ModelError::ActionCountMismatch {

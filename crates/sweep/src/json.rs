@@ -146,6 +146,11 @@ impl Json {
 }
 
 impl Json {
+    /// The deepest nesting of arrays and objects [`Json::parse`]
+    /// accepts. The parser recurses once per level, so the cap bounds
+    /// its stack use; the artifacts this crate writes nest a few levels.
+    pub const MAX_DEPTH: usize = 512;
+
     /// Parses a JSON document (the reading half of the artifact
     /// round-trip). Numbers parse as [`Json::U64`] when they are plain
     /// unsigned integers and as [`Json::F64`] otherwise; objects keep
@@ -158,11 +163,15 @@ impl Json {
     /// # Errors
     ///
     /// Returns a message with the byte offset of the first syntax
-    /// error, or on trailing garbage.
+    /// error, or on trailing garbage. Input that stops mid-value gives
+    /// "unexpected end of input at byte N"; arrays and objects nested
+    /// deeper than [`Json::MAX_DEPTH`] are rejected rather than
+    /// recursed into.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -210,6 +219,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -227,19 +238,35 @@ impl Parser<'_> {
         self.bytes.get(self.pos).copied()
     }
 
+    /// The error for a bad byte at the cursor: `what` there, or
+    /// "unexpected end of input" when the input has run out.
+    fn error(&self, what: &str) -> String {
+        if self.pos >= self.bytes.len() {
+            format!("unexpected end of input at byte {}", self.pos)
+        } else {
+            format!("{what} at byte {}", self.pos)
+        }
+    }
+
     fn eat(&mut self, b: u8) -> Result<(), String> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!("expected `{}` at byte {}", char::from(b), self.pos))
+            Err(self.error(&format!("expected `{}`", char::from(b))))
         }
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        let rest = &self.bytes[self.pos..];
+        if rest.starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
+        } else if word.as_bytes().starts_with(rest) {
+            Err(format!(
+                "unexpected end of input at byte {}",
+                self.bytes.len()
+            ))
         } else {
             Err(format!("invalid literal at byte {}", self.pos))
         }
@@ -251,10 +278,25 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == Json::MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {} levels at byte {}",
+                        Json::MAX_DEPTH,
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let nested = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(format!("unexpected character at byte {}", self.pos)),
+            _ => Err(self.error("unexpected character")),
         }
     }
 
@@ -276,7 +318,7 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Json::Arr(items));
                 }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
+                _ => return Err(self.error("expected `,` or `]`")),
             }
         }
     }
@@ -303,7 +345,7 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Json::Obj(pairs));
                 }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
+                _ => return Err(self.error("expected `,` or `}`")),
             }
         }
     }
@@ -330,9 +372,7 @@ impl Parser<'_> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| format!("dangling escape at byte {}", self.pos))?;
+                    let esc = self.peek().ok_or_else(|| self.error("dangling escape"))?;
                     self.pos += 1;
                     match esc {
                         b'"' => out.push('"'),
@@ -372,7 +412,7 @@ impl Parser<'_> {
                         }
                     }
                 }
-                _ => return Err(format!("unterminated string at byte {}", self.pos)),
+                _ => return Err(self.error("unterminated string")),
             }
         }
     }
@@ -548,5 +588,45 @@ mod tests {
         assert!(Json::parse("{\"a\": 1} x").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("tru").is_err());
+    }
+
+    #[test]
+    fn parse_reports_truncated_input() {
+        for (text, at) in [
+            ("", 0),
+            ("[1, 2", 5),
+            ("[1,", 3),
+            ("{\"a\"", 4),
+            ("{\"a\": ", 6),
+            ("{\"a\": 1", 7),
+            ("\"abc", 4),
+            ("\"ab\\", 4),
+            ("tr", 2),
+            ("[nul", 4),
+        ] {
+            assert_eq!(
+                Json::parse(text).unwrap_err(),
+                format!("unexpected end of input at byte {at}"),
+                "input {text:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn parse_caps_nesting_depth() {
+        let nested = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        let at_cap = Json::parse(&nested(Json::MAX_DEPTH)).unwrap();
+        assert_eq!(at_cap.render(), nested(Json::MAX_DEPTH));
+        let objects = "{\"a\":".repeat(Json::MAX_DEPTH + 1) + &"}".repeat(Json::MAX_DEPTH + 1);
+        for text in [nested(Json::MAX_DEPTH + 1), objects, "[".repeat(200_000)] {
+            let err = Json::parse(&text).unwrap_err();
+            assert!(
+                err.starts_with(&format!(
+                    "nesting deeper than {} levels at byte",
+                    Json::MAX_DEPTH
+                )),
+                "{err}"
+            );
+        }
     }
 }

@@ -330,6 +330,11 @@ fn parse_topology(spec: &str, seed: u64) -> Result<Graph, String> {
             .map_err(|e| e.to_string())?,
         _ => return Err(usage()),
     };
+    if g.node_count() == 0 {
+        return Err(format!(
+            "bad topology spec `{spec}`: the graph has no nodes"
+        ));
+    }
     Ok(g)
 }
 
@@ -820,6 +825,12 @@ mod tests {
         assert!(parse_topology("udg:30:0.3", 1).is_ok());
         assert!(parse_topology("banana:3", 1).is_err());
         assert!(parse_topology("grid:3", 1).is_err());
+        for empty in ["path:0", "grid:0x5", "grid:5x0"] {
+            assert_eq!(
+                parse_topology(empty, 1).unwrap_err(),
+                format!("bad topology spec `{empty}`: the graph has no nodes")
+            );
+        }
     }
 
     #[test]
