@@ -19,7 +19,7 @@ pub mod star;
 pub mod wct;
 
 use netgraph::NodeId;
-use radio_model::adaptive::{Knowledge, RoutingAction, RoutingController};
+use radio_model::adaptive::{Knowledge, MsgId, RoutingController};
 use rand::rngs::SmallRng;
 
 /// The sequential source schedule of Lemmas 15 and 32: the source
@@ -28,7 +28,8 @@ use rand::rngs::SmallRng;
 ///
 /// On the star this is the `Θ(1/log n)`-throughput adaptive routing
 /// schedule of Lemma 15; on the single link it is the
-/// `Θ(1)`-throughput schedule of Lemma 32.
+/// `Θ(1)`-throughput schedule of Lemma 32. Each decision is O(1): it
+/// reads [`Knowledge::lowest_incomplete`].
 #[derive(Debug, Clone, Copy)]
 pub struct SequentialSourceController {
     /// The broadcasting source.
@@ -41,27 +42,11 @@ impl RoutingController for SequentialSourceController {
         _round: u64,
         knowledge: &Knowledge,
         _rng: &mut SmallRng,
-    ) -> Vec<RoutingAction> {
-        let n = knowledge.node_count();
-        let mut lowest = None;
-        for i in 0..n {
-            if let Some(m) = knowledge.first_missing(NodeId::from_index(i)) {
-                lowest = Some(match lowest {
-                    None => m,
-                    Some(cur) if m < cur => m,
-                    Some(cur) => cur,
-                });
-            }
+        sends: &mut Vec<(NodeId, MsgId)>,
+    ) {
+        if let Some(m) = knowledge.lowest_incomplete() {
+            sends.push((self.source, m));
         }
-        (0..n)
-            .map(|i| {
-                if NodeId::from_index(i) == self.source {
-                    lowest.map_or(RoutingAction::Silent, RoutingAction::Send)
-                } else {
-                    RoutingAction::Silent
-                }
-            })
-            .collect()
     }
 }
 

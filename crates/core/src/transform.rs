@@ -20,9 +20,16 @@
 //! These transformations are why sender faults change almost nothing
 //! (Theorems 27–28: the faultless gaps of Alon et al. carry over),
 //! in sharp contrast to receiver faults (Theorem 24).
+//!
+//! Every round of the faultless validation and of both transformed
+//! runs resolves through the shared collision kernel,
+//! [`radio_model::Resolver`]. The coding transform applies the
+//! channel's sender-side and delivery-side components separately, so
+//! composed channels such as `sender(p)+erasure(q)` lose what each
+//! component loses.
 
-use netgraph::{Graph, NodeId};
-use radio_model::{fork_rng, BitMatrix, Channel};
+use netgraph::{Bitset, Graph, NodeId};
+use radio_model::{fork_rng, BitMatrix, Channel, Resolver};
 use rand::Rng;
 
 use crate::CoreError;
@@ -84,6 +91,22 @@ impl BaseSchedule {
         self.actions.len()
     }
 
+    /// Checks that every round has one action per node and sends only
+    /// messages `0..k`.
+    fn check(&self, n: usize) -> Result<(), CoreError> {
+        for (r, row) in self.actions.iter().enumerate() {
+            let reason = if row.len() != n {
+                format!("round {r} has {} actions for {n} nodes", row.len())
+            } else if let Some(m) = row.iter().flatten().find(|&&m| m >= self.k) {
+                format!("round {r} sends message {m}, but k = {}", self.k)
+            } else {
+                continue;
+            };
+            return Err(CoreError::InvalidParameter { reason });
+        }
+        Ok(())
+    }
+
     /// Simulates the schedule in the faultless model and reports
     /// whether it broadcasts all `k` messages from `source` to every
     /// node. Also returns the delivery pattern
@@ -91,8 +114,8 @@ impl BaseSchedule {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidParameter`] if action rows have the wrong
-    /// width.
+    /// [`CoreError::InvalidParameter`] if an action row has the wrong
+    /// width or sends a message outside `0..k`.
     pub fn validate_faultless(
         &self,
         graph: &Graph,
@@ -104,43 +127,26 @@ impl BaseSchedule {
             knowledge.set(source.index(), m);
         }
         let mut deliveries = Vec::new();
+        let mut resolver = Resolver::new(n);
+        let mut broadcasters = Bitset::new(n);
+        let mut carried = vec![0; n];
+        self.check(n)?;
         for (r, row) in self.actions.iter().enumerate() {
-            if row.len() != n {
-                return Err(CoreError::InvalidParameter {
-                    reason: format!("round {r} has {} actions for {n} nodes", row.len()),
-                });
-            }
             // Routing semantics: only known messages are sent.
-            let sending: Vec<Option<usize>> = row
-                .iter()
-                .enumerate()
-                .map(|(v, a)| a.filter(|&m| knowledge.get(v, m)))
-                .collect();
-            for v in 0..n {
-                if sending[v].is_some() {
-                    continue;
+            broadcasters.clear();
+            for (v, a) in row.iter().enumerate() {
+                if let Some(m) = a.filter(|&m| knowledge.get(v, m)) {
+                    broadcasters.insert(v);
+                    carried[v] = m;
                 }
-                let mut tx = None;
-                let mut hits = 0;
-                for &u in graph.neighbors(NodeId::from_index(v)) {
-                    if sending[u.index()].is_some() {
-                        hits += 1;
-                        if hits > 1 {
-                            break;
-                        }
-                        tx = Some(u);
-                    }
-                }
-                if hits == 1 {
-                    let u = tx.expect("hits == 1");
-                    let m = sending[u.index()].expect("sender has message");
-                    // Only fresh deliveries matter downstream: a node
-                    // that re-hears a message it already has derives
-                    // nothing new from it (the Lemma 26 induction only
-                    // re-serves informative receptions).
-                    if knowledge.set(v, m) {
-                        deliveries.push((r as u64, u, NodeId::from_index(v)));
-                    }
+            }
+            for (v, u) in resolver.resolve(graph, &broadcasters) {
+                // Only fresh deliveries matter downstream: a node that
+                // re-hears a message it already has derives nothing new
+                // from it (the Lemma 26 induction only re-serves
+                // informative receptions).
+                if knowledge.set(v.index(), carried[u.index()]) {
+                    deliveries.push((r as u64, u, v));
                 }
             }
         }
@@ -244,63 +250,50 @@ impl SenderFaultRoutingTransform {
         let mut rng = fork_rng(seed, 0x25);
         let mut total_rounds = 0u64;
 
+        let mut resolver = Resolver::new(n);
+        let mut broadcasters = Bitset::new(n);
+        // What a broadcaster delivers this round: `None` if it faulted.
+        let mut carried: Vec<Option<usize>> = vec![None; n];
+
         // Per meta-round state: each base-broadcaster owns a queue of
         // the x messages of its group that it currently knows.
+        base.check(n)?;
         for row in &base.actions {
-            if row.len() != n {
-                return Err(CoreError::InvalidParameter {
-                    reason: "base schedule width mismatch".into(),
-                });
-            }
-            let mut queues: Vec<Vec<usize>> = row
+            // (node, queue) in ascending node order; pop() takes the
+            // lowest message last, so each queue is reversed.
+            let mut queues: Vec<(usize, Vec<usize>)> = row
                 .iter()
                 .enumerate()
-                .map(|(v, a)| match a {
-                    Some(i) => (0..x)
+                .filter_map(|(v, a)| {
+                    let i = (*a)?;
+                    let queue = (0..x)
                         .map(|j| i * x + j)
                         .filter(|&msg| knowledge.get(v, msg))
-                        .rev() // pop() takes the lowest last -> reverse
-                        .collect(),
-                    None => Vec::new(),
+                        .rev()
+                        .collect();
+                    Some((v, queue))
                 })
                 .collect();
             for _ in 0..meta_len {
                 total_rounds += 1;
-                // Broadcasters: queue non-empty. One sender-fault draw each.
-                let sending: Vec<Option<usize>> =
-                    queues.iter().map(|q| q.last().copied()).collect();
-                let faulted: Vec<bool> = sending
-                    .iter()
-                    .map(|s| s.is_some() && rng.gen_bool(p))
-                    .collect();
-                // Deliveries.
-                for v in 0..n {
-                    if sending[v].is_some() {
-                        continue;
+                // Broadcasters: queue non-empty. One sender-fault draw
+                // each, ascending.
+                broadcasters.clear();
+                for (v, queue) in &queues {
+                    if let Some(&m) = queue.last() {
+                        broadcasters.insert(*v);
+                        carried[*v] = (!rng.gen_bool(p)).then_some(m);
                     }
-                    let mut tx = None;
-                    let mut hits = 0;
-                    for &u in graph.neighbors(NodeId::from_index(v)) {
-                        if sending[u.index()].is_some() {
-                            hits += 1;
-                            if hits > 1 {
-                                break;
-                            }
-                            tx = Some(u);
-                        }
-                    }
-                    if hits == 1 {
-                        let u = tx.expect("hits == 1");
-                        if !faulted[u.index()] {
-                            let m = sending[u.index()].expect("sender has message");
-                            knowledge.set(v, m);
-                        }
+                }
+                for (v, u) in resolver.resolve(graph, &broadcasters) {
+                    if let Some(m) = carried[u.index()] {
+                        knowledge.set(v.index(), m);
                     }
                 }
                 // Queue advance: a non-faulted transmission succeeds.
-                for v in 0..n {
-                    if sending[v].is_some() && !faulted[v] {
-                        queues[v].pop();
+                for (v, queue) in &mut queues {
+                    if broadcasters.contains(*v) && carried[*v].is_some() {
+                        queue.pop();
                     }
                 }
             }
@@ -341,7 +334,8 @@ impl CodingFaultTransform {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidParameter`] on bad parameters.
+    /// [`CoreError::InvalidParameter`] on bad parameters or an invalid
+    /// base schedule.
     pub fn run(
         &self,
         graph: &Graph,
@@ -361,6 +355,8 @@ impl CodingFaultTransform {
             });
         }
         let p = fault.fault_probability();
+        let sender_fault = fault.sender_fault();
+        let delivery_fault = fault.delivery_fault();
         let n = graph.node_count();
         let x = self.group_size as u64;
         let meta_len = self.meta_len(p);
@@ -374,46 +370,37 @@ impl CodingFaultTransform {
             .map(|&(r, u, v)| ((r, u.raw(), v.raw()), 0))
             .collect();
         let mut total_rounds = 0u64;
+        let mut resolver = Resolver::new(n);
+        let mut broadcasters = Bitset::new(n);
+        let mut faulted = Bitset::new(n);
 
+        base.check(n)?;
         for (r, row) in base.actions.iter().enumerate() {
-            if row.len() != n {
-                return Err(CoreError::InvalidParameter {
-                    reason: "base schedule width mismatch".into(),
-                });
+            broadcasters.clear();
+            for (v, a) in row.iter().enumerate() {
+                if a.is_some() {
+                    broadcasters.insert(v);
+                }
             }
-            let sending: Vec<bool> = row.iter().map(Option::is_some).collect();
             for _ in 0..meta_len {
                 total_rounds += 1;
-                let faulted: Vec<bool> = sending
-                    .iter()
-                    .map(|&s| s && fault.is_sender() && rng.gen_bool(p))
-                    .collect();
-                for v in 0..n {
-                    if sending[v] {
-                        continue;
-                    }
-                    let mut tx = None;
-                    let mut hits = 0;
-                    for &u in graph.neighbors(NodeId::from_index(v)) {
-                        if sending[u.index()] {
-                            hits += 1;
-                            if hits > 1 {
-                                break;
-                            }
-                            tx = Some(u);
+                // One sender-fault draw per broadcaster, ascending.
+                faulted.clear();
+                if let Some(ps) = sender_fault {
+                    for v in broadcasters.ones() {
+                        if rng.gen_bool(ps) {
+                            faulted.insert(v);
                         }
                     }
-                    if hits != 1 {
+                }
+                for (v, u) in resolver.resolve(graph, &broadcasters) {
+                    if faulted.contains(u.index()) {
                         continue;
                     }
-                    let u = tx.expect("hits == 1");
-                    if faulted[u.index()] {
+                    if delivery_fault.is_some_and(|pd| rng.gen_bool(pd)) {
                         continue;
                     }
-                    if (fault.is_receiver() || fault.is_erasure()) && rng.gen_bool(p) {
-                        continue;
-                    }
-                    if let Some(count) = required.get_mut(&(r as u64, u.raw(), v as u32)) {
+                    if let Some(count) = required.get_mut(&(r as u64, u.raw(), v.raw())) {
                         *count += 1;
                     }
                 }
@@ -577,6 +564,49 @@ mod tests {
         }
         .run(&g, &base, &trace, Channel::faultless(), 0)
         .is_err());
+    }
+
+    #[test]
+    fn invalid_base_schedules_are_rejected() {
+        let g = generators::path(3);
+        let reason = |e: CoreError| match e {
+            CoreError::InvalidParameter { reason } => reason,
+            other => panic!("unexpected error {other:?}"),
+        };
+        let narrow = BaseSchedule {
+            k: 1,
+            actions: vec![vec![Some(0), None, None], vec![None, Some(0)]],
+        };
+        let unknown = BaseSchedule {
+            k: 1,
+            actions: vec![vec![Some(64), None, None]],
+        };
+        let trace = BaseSchedule::path_pipelined(3, 1)
+            .validate_faultless(&g, NodeId::new(0))
+            .unwrap();
+        let routing = SenderFaultRoutingTransform {
+            group_size: 2,
+            eta: 0.5,
+        };
+        let coding = CodingFaultTransform {
+            group_size: 2,
+            eta: 0.5,
+        };
+        for (base, expected) in [
+            (&narrow, "round 1 has 2 actions for 3 nodes"),
+            (&unknown, "round 0 sends message 64, but k = 1"),
+        ] {
+            let errors = [
+                base.validate_faultless(&g, NodeId::new(0)).unwrap_err(),
+                routing.run(&g, base, NodeId::new(0), 0.5, 0).unwrap_err(),
+                coding
+                    .run(&g, base, &trace, Channel::faultless(), 0)
+                    .unwrap_err(),
+            ];
+            for e in errors {
+                assert_eq!(reason(e), expected);
+            }
+        }
     }
 
     #[test]

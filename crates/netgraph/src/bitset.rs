@@ -76,6 +76,41 @@ impl Bitset {
         self.words[i / 64] |= 1 << (i % 64);
     }
 
+    /// Removes `i` (a no-op if absent).
+    ///
+    /// # Panics
+    ///
+    /// If `i >= len`.
+    pub fn remove(&mut self, i: usize) {
+        assert!(i < self.len, "bit {i} out of range 0..{}", self.len);
+        self.words[i / 64] &= !(1 << (i % 64));
+    }
+
+    /// Removes every index in words `words` (indices
+    /// `64·words.start .. 64·words.end`) — the sparse counterpart of
+    /// [`Bitset::clear`] for loops that know which words they touched.
+    ///
+    /// # Panics
+    ///
+    /// If `words.end` exceeds the word count.
+    pub fn clear_words(&mut self, words: Range<usize>) {
+        self.words[words].fill(0);
+    }
+
+    /// Ors `bits` into word `word_index` (bit `b` of it is index
+    /// `64·word_index + b`) and returns the word's previous value — the
+    /// word-at-a-time insert for loops that gather a word's bits in a
+    /// register. Every index in `bits` must be below `len`.
+    ///
+    /// # Panics
+    ///
+    /// If `word_index` is past the last word.
+    pub fn or_word(&mut self, word_index: usize, bits: u64) -> u64 {
+        let before = self.words[word_index];
+        self.words[word_index] = before | bits;
+        before
+    }
+
     /// Whether `i` is in the set.
     pub fn contains(&self, i: usize) -> bool {
         i < self.len && self.words[i / 64] & (1 << (i % 64)) != 0
@@ -349,6 +384,31 @@ mod tests {
         assert_eq!(s.count_ones(), 70);
         assert_eq!(s.ones().count(), 70);
         assert!(!s.contains(70));
+    }
+
+    #[test]
+    fn remove_and_clear_words() {
+        let mut s = Bitset::new(200);
+        for i in [1, 63, 64, 130, 199] {
+            s.insert(i);
+        }
+        s.remove(63);
+        s.remove(62); // absent: no-op
+        assert_eq!(s.ones().collect::<Vec<_>>(), vec![1, 64, 130, 199]);
+        s.clear_words(1..3);
+        assert_eq!(s.ones().collect::<Vec<_>>(), vec![1, 199]);
+        s.clear_words(3..3);
+        assert_eq!(s.count_ones(), 2);
+    }
+
+    #[test]
+    fn or_word_returns_previous_word() {
+        let mut s = Bitset::new(130);
+        s.insert(65);
+        assert_eq!(s.or_word(1, 0b101), 0b10);
+        assert_eq!(s.ones().collect::<Vec<_>>(), vec![64, 65, 66]);
+        assert_eq!(s.or_word(2, 0b11), 0);
+        assert!(s.contains(129));
     }
 
     #[test]

@@ -9,17 +9,23 @@
 //! makes routing *lower bounds* proved against it — and measured
 //! against it here — meaningful.
 //!
-//! The runner enforces the routing semantics of §3.1: if a controller
-//! directs a node to broadcast a message the node has not received,
-//! the node stays silent instead.
+//! A [`RoutingController`] states a round sparsely: it pushes one
+//! `(node, message)` send per broadcasting node into a buffer the
+//! runner reuses, and every node it does not name stays silent. The
+//! runner enforces the routing semantics of §3.1 — a send of a message
+//! the node has not received leaves the node silent — and resolves the
+//! round through the shared collision kernel, [`crate::Resolver`], so
+//! a round costs time in the broadcasters' degrees, not in `n`.
+//! [`Knowledge`] tracks how many nodes hold each message, which makes
+//! the completion test and [`Knowledge::lowest_incomplete`] O(1).
 
-use netgraph::{Graph, NodeId};
+use netgraph::{Bitset, Graph, NodeId};
 use radio_obs::{PhaseSet, SpanTimer};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::rng::fork_rng;
-use crate::{BitMatrix, Channel, ModelError};
+use crate::{BitMatrix, Channel, ModelError, Resolver};
 
 /// Index of one of the `k` broadcast messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -32,22 +38,17 @@ impl MsgId {
     }
 }
 
-/// A routing action: stay silent or broadcast one of the `k` messages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoutingAction {
-    /// Listen this round.
-    Silent,
-    /// Broadcast message `m` (ignored — node stays silent — if the
-    /// node does not know `m`, per §3.1).
-    Send(MsgId),
-}
-
 /// The global knowledge state: `knows(v, i)` iff node `v` has message
 /// `i`. This is exactly the information an adaptive routing schedule
 /// is allowed to consult (Definition 14).
 #[derive(Debug, Clone)]
 pub struct Knowledge {
     matrix: BitMatrix,
+    /// `holders[i]`: how many nodes know message `i`.
+    holders: Vec<usize>,
+    /// The lowest message some node still misses (`k` once none is).
+    /// Holder counts only grow, so it only moves forward.
+    lowest_incomplete: usize,
 }
 
 impl Knowledge {
@@ -55,6 +56,9 @@ impl Knowledge {
     pub fn new(n: usize, k: usize) -> Self {
         Knowledge {
             matrix: BitMatrix::new(n, k),
+            holders: vec![0; k],
+            // With no nodes, every message is trivially complete.
+            lowest_incomplete: if n == 0 { k } else { 0 },
         }
     }
 
@@ -69,18 +73,60 @@ impl Knowledge {
     }
 
     /// Grants message `m` to node `v`. Returns whether this was new.
+    ///
+    /// # Panics
+    ///
+    /// If `v` or `m` is out of range.
     pub fn grant(&mut self, v: NodeId, m: MsgId) -> bool {
-        self.matrix.set(v.index(), m.index())
+        self.grant_if(v, m, true)
+    }
+
+    /// [`Knowledge::grant`] iff `ok`, without branching on `ok` (a
+    /// loss draw is a coin flip the branch predictor cannot learn).
+    #[inline(always)]
+    fn grant_if(&mut self, v: NodeId, m: MsgId, ok: bool) -> bool {
+        let i = m.index();
+        assert!(
+            v.index() < self.node_count() && i < self.message_count(),
+            "grant ({v}, m{i}) out of range"
+        );
+        let fresh = self.matrix.set_if(v.index(), i, ok);
+        self.holders[i] += usize::from(fresh);
+        // No test of `fresh` here: it follows a loss draw, and a branch
+        // on it would mispredict half the time.
+        if self.holders[i] == self.node_count() {
+            self.advance_cursor();
+        }
+        fresh
+    }
+
+    /// Moves the lowest-incomplete cursor past completed messages.
+    #[cold]
+    fn advance_cursor(&mut self) {
+        while self.lowest_incomplete < self.message_count()
+            && self.holders[self.lowest_incomplete] == self.node_count()
+        {
+            self.lowest_incomplete += 1;
+        }
     }
 
     /// Grants all messages to `v` (the source's initial state).
+    ///
+    /// # Panics
+    ///
+    /// If `v` is out of range.
     pub fn grant_all(&mut self, v: NodeId) {
-        self.matrix.set_row(v.index());
+        for i in 0..self.message_count() {
+            self.grant(v, MsgId(i as u32));
+        }
     }
 
-    /// Whether node `v` knows message `m`.
+    /// Whether node `v` knows message `m` (`false` for a node or
+    /// message out of range).
     pub fn knows(&self, v: NodeId, m: MsgId) -> bool {
-        self.matrix.get(v.index(), m.index())
+        v.index() < self.node_count()
+            && m.index() < self.message_count()
+            && self.matrix.get(v.index(), m.index())
     }
 
     /// Number of messages `v` knows.
@@ -93,9 +139,15 @@ impl Knowledge {
         self.matrix.row_all_ones(v.index())
     }
 
-    /// Whether every node knows every message (broadcast solved).
+    /// Whether every node knows every message (broadcast solved), in
+    /// O(1).
     pub fn all_complete(&self) -> bool {
-        self.matrix.all_ones()
+        self.lowest_incomplete == self.message_count()
+    }
+
+    /// The lowest message some node is still missing, if any, in O(1).
+    pub fn lowest_incomplete(&self) -> Option<MsgId> {
+        (!self.all_complete()).then_some(MsgId(self.lowest_incomplete as u32))
     }
 
     /// The smallest message index `v` is missing, if any.
@@ -108,30 +160,39 @@ impl Knowledge {
 
 /// A centralized adaptive routing schedule: sees the topology (however
 /// it was captured at construction) and the full [`Knowledge`] each
-/// round, and directs every node.
+/// round, and names the nodes that broadcast.
 pub trait RoutingController {
-    /// Produces one action per node for round `round`.
+    /// Pushes round `round`'s sends onto `sends`, one `(node, message)`
+    /// pair per broadcasting node; every node not named stays silent.
     ///
-    /// The returned vector must have exactly one entry per node.
+    /// The runner hands `sends` over empty and reuses it across
+    /// rounds. It applies the pairs in push order: a send of a message
+    /// the node does not know is dropped (the node stays silent, §3.1),
+    /// and of several surviving sends for one node the first wins —
+    /// a node broadcasts at most once per round and is counted once.
+    /// A send naming a node outside the graph fails the run with
+    /// [`ModelError::SendOutOfRange`].
     fn decide(
         &mut self,
         round: u64,
         knowledge: &Knowledge,
         rng: &mut SmallRng,
-    ) -> Vec<RoutingAction>;
+        sends: &mut Vec<(NodeId, MsgId)>,
+    );
 }
 
 impl<F> RoutingController for F
 where
-    F: FnMut(u64, &Knowledge, &mut SmallRng) -> Vec<RoutingAction>,
+    F: FnMut(u64, &Knowledge, &mut SmallRng, &mut Vec<(NodeId, MsgId)>),
 {
     fn decide(
         &mut self,
         round: u64,
         knowledge: &Knowledge,
         rng: &mut SmallRng,
-    ) -> Vec<RoutingAction> {
-        self(round, knowledge, rng)
+        sends: &mut Vec<(NodeId, MsgId)>,
+    ) {
+        self(round, knowledge, rng, sends)
     }
 }
 
@@ -153,6 +214,11 @@ pub struct RoutingOutcome {
 /// `source` initially knows all `k` messages; everyone else knows
 /// nothing.
 ///
+/// Each round draws, from one fault stream, first one sender-fault
+/// coin per broadcaster in ascending node order, then one delivery
+/// coin per unique-sender slot whose sender did not fault, in
+/// ascending listener order ([`crate::Resolver`]'s contract).
+///
 /// In this centralized model the controller already sees the full
 /// knowledge matrix, so a lost delivery grants nothing whether the
 /// channel presents it as noise or as a detected erasure —
@@ -161,8 +227,12 @@ pub struct RoutingOutcome {
 ///
 /// # Errors
 ///
-/// [`ModelError::ActionCountMismatch`] if the controller returns a
-/// wrong-sized action vector.
+/// [`ModelError::SendOutOfRange`] if the controller names a node
+/// outside the graph.
+///
+/// # Panics
+///
+/// If `source` is not a node of `graph`.
 pub fn run_routing(
     graph: &Graph,
     channel: Channel,
@@ -181,9 +251,8 @@ pub fn run_routing(
 /// [`run_routing`] with per-phase wall-clock attribution: returns the
 /// outcome together with a [`PhaseSet`] splitting the run between
 /// `routing/decide` (the controller's decision plus the knows-it
-/// filter — the known E8 hotspot at large leaf counts) and
-/// `routing/resolve` (fault draws and per-listener slot resolution),
-/// one call tallied per round.
+/// filter) and `routing/resolve` (fault draws and per-listener slot
+/// resolution), one call tallied per round.
 ///
 /// Timing is observational only: the outcome is bit-identical to
 /// [`run_routing`] under the same arguments.
@@ -224,98 +293,66 @@ fn run_routing_inner(
     let sender_fault = channel.sender_fault();
     let delivery_fault = channel.delivery_fault();
 
-    let mut broadcasts = 0u64;
-    let mut fresh = 0u64;
+    let mut outcome = RoutingOutcome {
+        rounds: None,
+        broadcasts: 0,
+        fresh_deliveries: 0,
+    };
     let mut round = 0u64;
-    let mut sending: Vec<Option<MsgId>> = vec![None; n];
+    let mut resolver = Resolver::new(n);
+    let mut sends = Vec::new();
+    // This round's broadcasters, as a set for the kernel and as a
+    // list for the sparse reset and the sender-fault draws.
+    let mut broadcasters = Bitset::new(n);
+    let mut on_air: Vec<NodeId> = Vec::new();
+    // What a broadcaster delivers: `None` once its sender fault hit.
+    let mut carried: Vec<Option<MsgId>> = vec![None; n];
     let mut phases = PhaseSet::new();
 
-    loop {
-        if knowledge.all_complete() {
-            return Ok((
-                RoutingOutcome {
-                    rounds: Some(round),
-                    broadcasts,
-                    fresh_deliveries: fresh,
-                },
-                phases,
-            ));
-        }
+    while !knowledge.all_complete() {
         if round >= max_rounds {
-            return Ok((
-                RoutingOutcome {
-                    rounds: None,
-                    broadcasts,
-                    fresh_deliveries: fresh,
-                },
-                phases,
-            ));
+            return Ok((outcome, phases));
         }
         let decide_timer = SpanTimer::start(timed);
-        let actions = controller.decide(round, &knowledge, &mut ctrl_rng);
-        if actions.len() != n {
-            return Err(ModelError::ActionCountMismatch {
-                supplied: actions.len(),
-                expected: n,
-            });
+        sends.clear();
+        controller.decide(round, &knowledge, &mut ctrl_rng, &mut sends);
+        for u in on_air.drain(..) {
+            broadcasters.remove(u.index());
         }
-        // Routing semantics: broadcasting an unknown message = silence.
-        for (i, action) in actions.iter().enumerate() {
-            sending[i] = match *action {
-                RoutingAction::Silent => None,
-                RoutingAction::Send(m) => {
-                    if knowledge.knows(NodeId::from_index(i), m) {
-                        broadcasts += 1;
-                        Some(m)
-                    } else {
-                        None
-                    }
-                }
-            };
+        for &(u, m) in &sends {
+            if u.index() >= n {
+                return Err(ModelError::SendOutOfRange {
+                    node: u.index(),
+                    nodes: n,
+                });
+            }
+            // Routing semantics: broadcasting an unknown message =
+            // silence; a node's first surviving send wins.
+            if !broadcasters.contains(u.index()) && knowledge.knows(u, m) {
+                broadcasters.insert(u.index());
+                carried[u.index()] = Some(m);
+                on_air.push(u);
+            }
         }
+        outcome.broadcasts += on_air.len() as u64;
         if decide_timer.enabled() {
             phases.add("routing/decide", decide_timer.elapsed_nanos());
         }
         let resolve_timer = SpanTimer::start(timed);
-        // Sender faults: one draw per broadcaster (composed channels
-        // contribute their sender-side component).
-        let mut sender_ok = vec![true; n];
+        // Sender faults: one draw per broadcaster, ascending (composed
+        // channels contribute their sender-side component).
         if let Some(p) = sender_fault {
-            for (i, s) in sending.iter().enumerate() {
-                if s.is_some() && fault_rng.gen_bool(p) {
-                    sender_ok[i] = false;
+            on_air.sort_unstable();
+            for &u in &on_air {
+                if fault_rng.gen_bool(p) {
+                    carried[u.index()] = None;
                 }
             }
         }
-        // Resolve receptions.
-        for i in 0..n {
-            if sending[i].is_some() {
-                continue;
-            }
-            let v = NodeId::from_index(i);
-            let mut tx: Option<NodeId> = None;
-            let mut count = 0;
-            for &u in graph.neighbors(v) {
-                if sending[u.index()].is_some() {
-                    count += 1;
-                    if count > 1 {
-                        break;
-                    }
-                    tx = Some(u);
-                }
-            }
-            if count == 1 {
-                let s = tx.expect("count == 1 implies a sender");
-                if !sender_ok[s.index()] {
-                    continue;
-                }
-                if delivery_fault.map_or(false, |p| fault_rng.gen_bool(p)) {
-                    continue;
-                }
-                let m = sending[s.index()].expect("sender has a message");
-                if knowledge.grant(v, m) {
-                    fresh += 1;
-                }
+        for (v, u) in resolver.resolve(graph, &broadcasters) {
+            if let Some(m) = carried[u.index()] {
+                let lost = delivery_fault.is_some_and(|p| fault_rng.gen_bool(p));
+                outcome.fresh_deliveries += u64::from(knowledge.grant_if(v, m, !lost));
             }
         }
         if resolve_timer.enabled() {
@@ -323,12 +360,16 @@ fn run_routing_inner(
         }
         round += 1;
     }
+    outcome.rounds = Some(round);
+    Ok((outcome, phases))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use netgraph::generators;
+
+    type Sends = Vec<(NodeId, MsgId)>;
 
     /// Controller: the source broadcasts the lowest message some node
     /// is still missing; everyone else is silent. On a star this is
@@ -343,38 +384,33 @@ mod tests {
             _round: u64,
             knowledge: &Knowledge,
             _rng: &mut SmallRng,
-        ) -> Vec<RoutingAction> {
-            let n = knowledge.node_count();
-            let mut missing: Option<MsgId> = None;
-            for i in 0..n {
-                if let Some(m) = knowledge.first_missing(NodeId::from_index(i)) {
-                    missing = Some(match missing {
-                        None => m,
-                        Some(cur) if m < cur => m,
-                        Some(cur) => cur,
-                    });
-                }
+            sends: &mut Sends,
+        ) {
+            if let Some(m) = knowledge.lowest_incomplete() {
+                sends.push((self.source, m));
             }
-            (0..n)
-                .map(|i| {
-                    if NodeId::from_index(i) == self.source {
-                        missing.map_or(RoutingAction::Silent, RoutingAction::Send)
-                    } else {
-                        RoutingAction::Silent
-                    }
-                })
-                .collect()
+        }
+    }
+
+    fn sweep() -> SourceSweep {
+        SourceSweep {
+            source: NodeId::new(0),
         }
     }
 
     #[test]
     fn faultless_star_takes_k_rounds() {
         let g = generators::star(10);
-        let mut c = SourceSweep {
-            source: NodeId::new(0),
-        };
-        let out =
-            run_routing(&g, Channel::faultless(), NodeId::new(0), 5, &mut c, 3, 1000).unwrap();
+        let out = run_routing(
+            &g,
+            Channel::faultless(),
+            NodeId::new(0),
+            5,
+            &mut sweep(),
+            3,
+            1000,
+        )
+        .unwrap();
         assert_eq!(out.rounds, Some(5));
         assert_eq!(out.broadcasts, 5);
         assert_eq!(out.fresh_deliveries, 50);
@@ -384,12 +420,9 @@ mod tests {
     fn receiver_faults_need_about_log_n_rounds_per_message() {
         let n_leaves = 256;
         let g = generators::star(n_leaves);
-        let mut c = SourceSweep {
-            source: NodeId::new(0),
-        };
         let fault = Channel::receiver(0.5).unwrap();
         let k = 20;
-        let out = run_routing(&g, fault, NodeId::new(0), k, &mut c, 3, 1_000_000).unwrap();
+        let out = run_routing(&g, fault, NodeId::new(0), k, &mut sweep(), 3, 1_000_000).unwrap();
         let rounds = out.rounds.expect("must complete") as f64;
         let per_msg = rounds / k as f64;
         // E[rounds per message] ≈ log2(256) + O(1) = 8 + O(1).
@@ -401,13 +434,11 @@ mod tests {
     fn unknown_message_broadcast_is_silenced() {
         // Controller tells a leaf (which knows nothing) to broadcast:
         // nothing should ever be delivered, and broadcast count stays 0.
+        // A message index past k is unknown to everyone, too.
         let g = generators::star(2);
-        let mut c = |_round: u64, _k: &Knowledge, _rng: &mut SmallRng| {
-            vec![
-                RoutingAction::Silent,
-                RoutingAction::Send(MsgId(0)),
-                RoutingAction::Silent,
-            ]
+        let mut c = |_round: u64, _k: &Knowledge, _rng: &mut SmallRng, sends: &mut Sends| {
+            sends.push((NodeId::new(1), MsgId(0)));
+            sends.push((NodeId::new(0), MsgId(7)));
         };
         let out = run_routing(&g, Channel::faultless(), NodeId::new(0), 1, &mut c, 0, 10).unwrap();
         assert_eq!(out.rounds, None);
@@ -415,51 +446,98 @@ mod tests {
     }
 
     #[test]
-    fn action_count_mismatch_detected() {
+    fn send_from_missing_node_is_an_error() {
         let g = generators::star(2);
-        let mut c = |_round: u64, _k: &Knowledge, _rng: &mut SmallRng| {
-            vec![RoutingAction::Silent] // wrong length
+        let mut c = |_round: u64, _k: &Knowledge, _rng: &mut SmallRng, sends: &mut Sends| {
+            sends.push((NodeId::new(0), MsgId(0)));
+            sends.push((NodeId::new(3), MsgId(0)));
         };
         let err =
             run_routing(&g, Channel::faultless(), NodeId::new(0), 1, &mut c, 0, 10).unwrap_err();
+        assert_eq!(err, ModelError::SendOutOfRange { node: 3, nodes: 3 });
         assert_eq!(
-            err,
-            ModelError::ActionCountMismatch {
-                supplied: 1,
-                expected: 3
+            err.to_string(),
+            "controller scheduled a send from node 3 in a graph of 3 nodes"
+        );
+        // Far past the end, and in a graph with no nodes at all.
+        let mut far = |_round: u64, _k: &Knowledge, _rng: &mut SmallRng, sends: &mut Sends| {
+            sends.push((NodeId::new(u32::MAX), MsgId(0)));
+        };
+        let empty = Graph::from_edges(0, []).unwrap();
+        let out = run_routing(
+            &empty,
+            Channel::faultless(),
+            NodeId::new(0),
+            0,
+            &mut far,
+            0,
+            10,
+        );
+        assert_eq!(out.unwrap().rounds, Some(0), "nothing to do, no decide");
+        let err =
+            run_routing(&g, Channel::faultless(), NodeId::new(0), 1, &mut far, 0, 10).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "controller scheduled a send from node {} in a graph of 3 nodes",
+                u32::MAX
+            )
+        );
+    }
+
+    #[test]
+    fn duplicate_sends_first_surviving_send_wins() {
+        // Source knows m0 and m1 of k = 2. Round 0 names the source
+        // three times: an unknown message (dropped), then m1 (wins),
+        // then m0 (ignored). One broadcast, m1 delivered to both
+        // leaves; round 1 sends m0 once.
+        let g = generators::star(2);
+        let mut c = |round: u64, k: &Knowledge, _rng: &mut SmallRng, sends: &mut Sends| {
+            let src = NodeId::new(0);
+            if round == 0 {
+                sends.extend([(src, MsgId(9)), (src, MsgId(1)), (src, MsgId(0))]);
+            } else {
+                sends.push((src, k.lowest_incomplete().unwrap()));
+            }
+        };
+        let out = run_routing(&g, Channel::faultless(), NodeId::new(0), 2, &mut c, 0, 10).unwrap();
+        assert_eq!(
+            out,
+            RoutingOutcome {
+                rounds: Some(2),
+                broadcasts: 2,
+                fresh_deliveries: 4,
             }
         );
     }
 
     #[test]
     fn collision_between_two_senders_blocks_delivery() {
-        // Complete bipartite K_{2,1}: nodes 0,1 on one side know the
-        // message... simpler: path 0-1-2 where 0 and 2 both know
-        // message 0 — wait, only source starts with knowledge.
-        // Instead: triangle where the controller makes source and an
-        // informed node broadcast simultaneously forever.
-        let g = generators::complete(3);
-        // Round 0: source broadcasts alone (informs 1 and 2).
-        // Rounds >0: nodes 0 and 1 both broadcast m0 — node 2 would
-        // collide, but it already has m0, so completion happened at
-        // round 1.
-        let mut c = |round: u64, _k: &Knowledge, _rng: &mut SmallRng| {
-            if round == 0 {
-                vec![
-                    RoutingAction::Send(MsgId(0)),
-                    RoutingAction::Silent,
-                    RoutingAction::Silent,
-                ]
-            } else {
-                vec![
-                    RoutingAction::Send(MsgId(0)),
-                    RoutingAction::Send(MsgId(0)),
-                    RoutingAction::Silent,
-                ]
-            }
-        };
-        let out = run_routing(&g, Channel::faultless(), NodeId::new(0), 1, &mut c, 0, 10).unwrap();
-        assert_eq!(out.rounds, Some(1));
+        // Diamond 0-{1,2}-3: round 0 the source informs 1 and 2. After
+        // that, 1 and 2 broadcasting together collide at 3 forever;
+        // node 1 alone informs it.
+        let g = Graph::from_edges(
+            4,
+            [(0, 1), (0, 2), (1, 3), (2, 3)].map(|(a, b)| (NodeId::new(a), NodeId::new(b))),
+        )
+        .unwrap();
+        for (both, expected) in [(true, None), (false, Some(2))] {
+            let mut c = |round: u64, _k: &Knowledge, _rng: &mut SmallRng, sends: &mut Sends| {
+                let m = MsgId(0);
+                if round == 0 {
+                    sends.push((NodeId::new(0), m));
+                } else {
+                    sends.push((NodeId::new(1), m));
+                    if both {
+                        sends.push((NodeId::new(2), m));
+                    }
+                }
+            };
+            let out =
+                run_routing(&g, Channel::faultless(), NodeId::new(0), 1, &mut c, 0, 10).unwrap();
+            assert_eq!(out.rounds, expected, "both = {both}");
+            assert_eq!(out.fresh_deliveries, if both { 2 } else { 3 });
+        }
     }
 
     #[test]
@@ -475,17 +553,35 @@ mod tests {
         assert_eq!(k.known_count(NodeId::new(1)), 1);
         assert_eq!(k.first_missing(NodeId::new(1)), Some(MsgId(0)));
         assert_eq!(k.first_missing(NodeId::new(0)), None);
+        assert!(!k.knows(NodeId::new(3), MsgId(0)), "node out of range");
+        assert!(!k.knows(NodeId::new(0), MsgId(4)), "message out of range");
+    }
+
+    #[test]
+    fn lowest_incomplete_cursor_skips_completed_messages() {
+        let mut k = Knowledge::new(2, 3);
+        assert_eq!(k.lowest_incomplete(), Some(MsgId(0)));
+        // Completing m1 first leaves the cursor on m0 ...
+        k.grant(NodeId::new(0), MsgId(1));
+        k.grant(NodeId::new(1), MsgId(1));
+        assert_eq!(k.lowest_incomplete(), Some(MsgId(0)));
+        // ... and completing m0 jumps it past m1 to m2.
+        k.grant_all(NodeId::new(0));
+        k.grant(NodeId::new(1), MsgId(0));
+        assert_eq!(k.lowest_incomplete(), Some(MsgId(2)));
+        k.grant(NodeId::new(1), MsgId(2));
+        assert_eq!(k.lowest_incomplete(), None);
+        assert!(k.all_complete());
+        // With no nodes, every message is complete from the start.
+        assert!(Knowledge::new(0, 5).all_complete());
     }
 
     #[test]
     fn sender_faults_slow_single_link() {
         let g = generators::single_link();
         let fault = Channel::sender(0.5).unwrap();
-        let mut c = SourceSweep {
-            source: NodeId::new(0),
-        };
         let k = 64;
-        let out = run_routing(&g, fault, NodeId::new(0), k, &mut c, 9, 100_000).unwrap();
+        let out = run_routing(&g, fault, NodeId::new(0), k, &mut sweep(), 9, 100_000).unwrap();
         let rounds = out.rounds.unwrap();
         // Each message takes Geom(1/2) rounds: expect ~2k total, far
         // more than k but far less than 10k.
@@ -496,10 +592,16 @@ mod tests {
     #[test]
     fn zero_messages_complete_immediately() {
         let g = generators::single_link();
-        let mut c = SourceSweep {
-            source: NodeId::new(0),
-        };
-        let out = run_routing(&g, Channel::faultless(), NodeId::new(0), 0, &mut c, 0, 10).unwrap();
+        let out = run_routing(
+            &g,
+            Channel::faultless(),
+            NodeId::new(0),
+            0,
+            &mut sweep(),
+            0,
+            10,
+        )
+        .unwrap();
         assert_eq!(out.rounds, Some(0));
     }
 }

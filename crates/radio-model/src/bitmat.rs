@@ -57,10 +57,21 @@ impl BitMatrix {
     ///
     /// Panics in debug builds if out of bounds.
     pub fn set(&mut self, r: usize, c: usize) -> bool {
+        self.set_if(r, c, true)
+    }
+
+    /// Sets bit `(r, c)` iff `on`, without branching on `on`. Returns
+    /// whether the bit changed (`on` and previously clear).
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if out of bounds.
+    #[inline]
+    pub fn set_if(&mut self, r: usize, c: usize, on: bool) -> bool {
         let (w, mask) = self.index(r, c);
         let was = self.bits[w] & mask != 0;
-        self.bits[w] |= mask;
-        !was
+        self.bits[w] |= mask & u64::from(on).wrapping_neg();
+        on & !was
     }
 
     /// Clears bit `(r, c)`.
@@ -130,6 +141,18 @@ mod tests {
         assert!(m.get(0, 2));
         m.clear(0, 2);
         assert!(!m.get(0, 2));
+    }
+
+    #[test]
+    fn set_if_sets_only_when_on() {
+        let mut m = BitMatrix::new(2, 70);
+        assert!(!m.set_if(1, 66, false));
+        assert!(!m.get(1, 66));
+        assert!(m.set_if(1, 66, true));
+        assert!(!m.set_if(1, 66, true), "already set");
+        assert!(!m.set_if(1, 66, false), "off never clears");
+        assert!(m.get(1, 66));
+        assert_eq!(m.row_count_ones(0), 0);
     }
 
     #[test]

@@ -28,12 +28,13 @@ pub enum ModelError {
         /// Corruptible nodes available.
         pool: usize,
     },
-    /// A controller returned an action vector of the wrong length.
-    ActionCountMismatch {
-        /// Actions supplied.
-        supplied: usize,
+    /// A routing controller scheduled a send from a node the graph
+    /// does not have.
+    SendOutOfRange {
+        /// The named node's index.
+        node: usize,
         /// Nodes in the graph.
-        expected: usize,
+        nodes: usize,
     },
     /// Two channels whose delivery-side presentations differ
     /// (`receiver` noise vs `erasure` detection) cannot be composed.
@@ -68,10 +69,10 @@ impl fmt::Display for ModelError {
                     "cannot corrupt f = {faulty} nodes: only {pool} nodes are corruptible"
                 )
             }
-            ModelError::ActionCountMismatch { supplied, expected } => {
+            ModelError::SendOutOfRange { node, nodes } => {
                 write!(
                     f,
-                    "controller returned {supplied} actions for a graph of {expected} nodes"
+                    "controller scheduled a send from node {node} in a graph of {nodes} nodes"
                 )
             }
             ModelError::IncompatibleChannels { left, right } => {
@@ -116,12 +117,8 @@ mod tests {
             "cannot corrupt f = 4 nodes: only 3 nodes are corruptible"
         );
         assert_eq!(
-            ModelError::ActionCountMismatch {
-                supplied: 5,
-                expected: 4
-            }
-            .to_string(),
-            "controller returned 5 actions for a graph of 4 nodes"
+            ModelError::SendOutOfRange { node: 5, nodes: 4 }.to_string(),
+            "controller scheduled a send from node 5 in a graph of 4 nodes"
         );
         assert_eq!(
             ModelError::IncompatibleChannels {

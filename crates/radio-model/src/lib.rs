@@ -44,8 +44,10 @@
 //! * [`adaptive::run_routing`] runs *centralized adaptive routing
 //!   schedules* (paper Definition 14): a [`adaptive::RoutingController`]
 //!   sees the complete knowledge matrix (which node has which message)
-//!   every round and directs all nodes. This is the strong model in
-//!   which the paper proves its routing lower bounds.
+//!   every round and names the nodes that broadcast. This is the strong
+//!   model in which the paper proves its routing lower bounds. Its
+//!   rounds, and those of the §5.2 schedule transforms, resolve through
+//!   one collision kernel, [`Resolver`].
 //!
 //! # Latency instrumentation
 //!
@@ -115,6 +117,7 @@ mod engine;
 mod error;
 mod latency;
 mod payload;
+mod resolve;
 mod rng;
 
 pub mod adaptive;
@@ -131,4 +134,5 @@ pub use engine::{
 pub use error::ModelError;
 pub use latency::LatencyProfile;
 pub use payload::{AdversarialPayload, Payload};
+pub use resolve::{Resolver, Slots};
 pub use rng::{fork_rng, fork_seed};

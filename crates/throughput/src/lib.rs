@@ -1,5 +1,5 @@
-//! Experiment harness: statistics, scaling fits, sweeps, throughput
-//! estimation, and table rendering.
+//! Experiment harness: statistics, scaling fits, gap ratios, traffic
+//! and table rendering.
 //!
 //! The paper's results are asymptotic (round complexities and
 //! throughput gaps in `O`/`Θ`/`Ω` form). This crate turns simulator
@@ -11,10 +11,7 @@
 //! * [`fit`] — least-squares fits, including log–log slope estimation
 //!   for scaling-shape checks (e.g. "rounds grow linearly in `D`" ↔
 //!   slope ≈ 1);
-//! * [`mod@sweep`] — parameter sweeps with per-point trial replication;
-//! * [`throughput`] — `k / rounds` throughput estimates, stabilization
-//!   over a growing-`k` ladder (Definition 1's `limsup`), and gap
-//!   ratios (Definitions 2–3);
+//! * [`throughput`] — coding-gap ratios (Definitions 2–3);
 //! * [`table`] — fixed-width and Markdown table rendering for benches
 //!   and reports;
 //! * [`latency`] — mean / p50 / p99 / max latency columns over
@@ -43,7 +40,6 @@ compile_error!(
 pub mod fit;
 pub mod latency;
 pub mod stats;
-pub mod sweep;
 pub mod table;
 pub mod throughput;
 pub mod traffic;
@@ -51,9 +47,8 @@ pub mod traffic;
 pub use fit::{linear_fit, log_log_fit, Fit};
 pub use latency::{LatencySummary, LATENCY_HEADERS};
 pub use stats::{quantile, Percentiles, Summary};
-pub use sweep::{sweep, SweepPoint};
 pub use table::Table;
-pub use throughput::{gap_ratio, throughput_ladder, ThroughputPoint};
+pub use throughput::gap_ratio;
 pub use traffic::{
     run_traffic, run_traffic_traced, ThroughputRun, TrafficConfig, TrafficError, TrafficSource,
     TrafficWorkload,
